@@ -11,8 +11,9 @@ paper's evaluation:
 
 A *reducer* is a callable that picks the subset of enabled executions to
 explore in a state (the stubborn set).  The search hands it a
-:class:`ReductionContext` exposing the successor function and the current
-DFS stack so the reducer can apply the cycle (stack) proviso.
+:class:`ReductionContext`, a state view exposing the pending senders per
+transition, the successor function and the current DFS stack so the
+reducer can apply the cycle (stack) proviso.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, FrozenSet, List, Optional, Tuple
 
 from ..engine.events import PROGRESS_INTERVAL, Observer, emit
 from ..mp.protocol import Protocol
@@ -108,24 +109,52 @@ class SearchConfig:
 class ReductionContext:
     """Information a reducer may use when choosing the explored subset.
 
+    A context is a *state view*: the reducer never inspects a state itself,
+    so the same reducer serves the object engines and the packed fast path.
+    States appear only as opaque handles — a :class:`GlobalState` on the
+    object engines, a :data:`~repro.fastpath.compiler.PackedState` on the
+    packed ones — that the reducer passes from ``successor`` to
+    ``on_stack``.
+
     Attributes:
-        state: The state being expanded.
-        enabled: All enabled executions in ``state``.
+        state: Handle of the state being expanded.
+        enabled: All enabled executions in ``state``, in the engine's
+            deterministic order.
         protocol: The protocol under verification.
-        successor: Function computing the successor of an execution; results
-            are cached by the successor engine so calling it is cheap.
-        on_stack: True for states currently on the DFS stack; used for the
-            cycle (stack) proviso.
-        engine: The successor engine driving the search; reducers may
-            consult its enabled-execution and successor caches directly.
+        successor: Function computing the successor handle of an execution;
+            results are memoised per frame so calling it is cheap.
+        on_stack: True for successor handles currently on the DFS stack;
+            used for the cycle (stack) proviso.
+        pending_senders: For a transition declaration index, the senders of
+            the messages pending in ``state`` that the transition could
+            consume (recipient, message type and allowed senders match).
+        engine: The successor engine driving the search (object or packed).
     """
 
-    state: GlobalState
+    state: Any
     enabled: Tuple[Execution, ...]
     protocol: Protocol
-    successor: Callable[[Execution], GlobalState]
-    on_stack: Callable[[GlobalState], bool]
-    engine: Optional[SuccessorEngine] = None
+    successor: Callable[[Execution], Any]
+    on_stack: Callable[[Any], bool]
+    pending_senders: Callable[[int], FrozenSet[str]]
+    engine: Any = None
+
+
+def object_pending_senders(protocol: Protocol, state: GlobalState) -> Callable[[int], FrozenSet[str]]:
+    """The object engines' ``ReductionContext.pending_senders``."""
+    transitions = protocol.transitions
+    network = state.network
+
+    def pending_senders(index: int) -> FrozenSet[str]:
+        spec = transitions[index]
+        allowed = spec.effective_senders()
+        return frozenset(
+            message.sender
+            for message in network.pending_for(spec.process_id, mtype=spec.message_type)
+            if allowed is None or message.sender in allowed
+        )
+
+    return pending_senders
 
 
 #: A reducer maps a reduction context to the subset of executions to explore.
@@ -323,6 +352,7 @@ def dfs_search(
             protocol=protocol,
             successor=_memoised_successor(engine, frame),
             on_stack=lambda state: state in on_stack_states,
+            pending_senders=object_pending_senders(protocol, frame_state),
             engine=engine,
         )
         reduced = reducer(context)

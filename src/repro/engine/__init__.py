@@ -50,6 +50,7 @@ from .plan import (
     GOALS,
     PLAN_AXES,
     REDUCTIONS,
+    SEED_HEURISTICS,
     SHAPES,
     STORES,
     SUCCESSOR_MODES,
@@ -86,6 +87,7 @@ __all__ = [
     "REQUIREMENT_TOKENS",
     "platform_requirements",
     "REDUCTIONS",
+    "SEED_HEURISTICS",
     "SHAPES",
     "STORES",
     "SUCCESSOR_MODES",

@@ -57,6 +57,11 @@ DEFAULT_WALK_DEPTH = 256
 #: on the other.
 SUCCESSOR_MODES = ("object", "fast")
 
+#: Seed-transition heuristics of the stubborn-set reductions.  A literal for
+#: the same import-cycle reason as ``STORES``; tests/engine/test_plan.py pins
+#: it to the names :func:`repro.por.seed.make_seed_heuristic` accepts.
+SEED_HEURISTICS = ("opposite-transaction", "transaction", "first", "fewest-dependents")
+
 #: Checking goals: ``"invariant"`` (a predicate must hold in every reachable
 #: state) or ``"liveness"`` (an :class:`~repro.checker.property.Eventually`
 #: goal must be reached on every maximal run; violations are accepting
@@ -76,7 +81,8 @@ class UnsupportedPlanError(ValueError):
     facade's ad-hoc ``raise ValueError`` diagnostics keep working.
 
     Attributes:
-        axis: Name of the offending axis (one of :data:`PLAN_AXES`).
+        axis: Name of the offending axis (one of :data:`PLAN_AXES`, or a
+            validated plan field such as ``"seed_heuristic"``).
         value: The requested value of that axis.
         alternative: The nearest supported alternative — a :class:`CheckPlan`
             that resolves, or a plain axis value when no full plan applies
@@ -134,7 +140,8 @@ class CheckPlan:
             (e.g. the frontier variant is fingerprint-store only) for a
             several-fold smaller per-state constant.
         seed_heuristic: Seed-transition heuristic for the stubborn-set
-            reductions; ignored by the others.
+            reductions (one of :data:`SEED_HEURISTICS`, validated here);
+            ignored by the others.
         store_shards: Shard count of the ``"sharded-fingerprint"`` store in
             the serial engines.  The parallel engines partition by worker
             (frontier BFS: one shard per worker) or claim by fingerprint
@@ -217,6 +224,8 @@ class CheckPlan:
             raise _unknown_axis_value("backend", self.backend, BACKENDS)
         if self.successors not in SUCCESSOR_MODES:
             raise _unknown_axis_value("successors", self.successors, SUCCESSOR_MODES)
+        if self.seed_heuristic not in SEED_HEURISTICS:
+            raise _unknown_axis_value("seed_heuristic", self.seed_heuristic, SEED_HEURISTICS)
         if not isinstance(self.workers, int) or self.workers < 1:
             raise UnsupportedPlanError(
                 "workers",

@@ -14,8 +14,9 @@ representation end to end.
   to :meth:`repro.mp.state.GlobalState.fingerprint`.
 * :mod:`repro.fastpath.search` holds the serial fingerprint-native DFS/BFS
   loops; object-graph states are materialised only for counterexample
-  replay, invariant-memo misses and the stubborn-set reducer bridge — never
-  on the hot successor path.
+  replay and invariant-memo misses — never on the hot successor path.  The
+  stubborn-set reducers run on a packed state view (see
+  :func:`repro.fastpath.search.reduce_packed`).
 * :mod:`repro.fastpath.parallel` holds the parallel variants: a
   work-stealing DFS whose stolen frames are pure int-tuples (thieves replay
   the execution-index path through the warm memo tables) and a

@@ -35,8 +35,9 @@ this to ship pure int-tuples across process boundaries.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..mp.channel import Network, item_hash
 from ..mp.errors import MPError, TransitionExecutionError
@@ -99,15 +100,31 @@ class CompiledTransition:
         self.spec_reads = spec.annotation.spec_reads
         self.guard = spec.guard
         self.action = spec.action
-        #: ``(local id, candidate ids) -> tuple of consumed-id tuples``.
+        #: ``(local id, candidate ids) -> tuple of packed executions``.
         #: An ``OrderedDict`` so the engine can run it as an LRU when a
         #: ``memo_capacity`` is configured (plain-dict cost when unbounded).
-        self.enabled_memo: "OrderedDict[Tuple, Tuple[Tuple[int, ...], ...]]" = OrderedDict()
-        #: ``(local id, consumed ids, spec ids) -> (new local id, outbox)``.
-        self.action_memo: "OrderedDict[Tuple, Tuple[int, Tuple[int, ...]]]" = OrderedDict()
+        self.enabled_memo: "OrderedDict[Tuple, Tuple[PackedExecution, ...]]" = OrderedDict()
+        #: ``(local id, consumed ids, spec ids) -> (new local id, locals-hash
+        #: delta, network delta)``; see :meth:`FastSuccessorEngine._apply_action`.
+        self.action_memo: "OrderedDict[Tuple, Tuple[int, int, Tuple[Tuple[int, int], ...]]]" = OrderedDict()
         #: Per message id: is the message a consumption candidate?  Grown
         #: lazily in lockstep with the engine's message table.
         self.candidate_flags: List[bool] = []
+
+
+class _NetContribMemo(dict):
+    """``(message id, count) -> item_hash(message, count)``, filled on
+    first lookup (a plain dict hit afterwards)."""
+
+    __slots__ = ("_msgs",)
+
+    def __init__(self, msgs: List[Message]) -> None:
+        super().__init__()
+        self._msgs = msgs
+
+    def __missing__(self, key: Tuple[int, int]) -> int:
+        value = self[key] = item_hash(self._msgs[key[0]], key[1])
+        return value
 
 
 class FastSuccessorEngine:
@@ -116,9 +133,10 @@ class FastSuccessorEngine:
     Compiled once per protocol (per check); the interning tables then grow
     monotonically as the search discovers new local states and messages.
     The packed API (``initial_packed`` / ``enabled_packed`` /
-    ``successor_packed``) is the hot path; ``encode`` / ``decode`` /
-    ``execution_of`` bridge to the object graph for counterexample replay,
-    reducers and invariants.
+    ``successor_packed`` / ``pending_senders``) is the hot path; ``encode``
+    / ``decode`` bridge to the object graph for counterexample replay and
+    invariants, and the memoised ``execution_of`` hands reducers and
+    counterexamples the object-graph executions.
 
     The engine is purely an optimisation: enabled executions, their order
     and the successor states are identical to the object engine's, and
@@ -137,10 +155,13 @@ class FastSuccessorEngine:
         "_msg_ids",
         "_msgs",
         "_msg_sort",
-        "_consumers",
+        "_msg_senders",
+        "_consumer_indices",
         "_entry_hash_memo",
-        "_net_contrib_memo",
+        "_net_contrib",
         "_exec_memo",
+        "_packed_memo",
+        "packed_of",
         "memo_capacity",
         "memo_evictions",
         "memo_hits",
@@ -183,16 +204,24 @@ class FastSuccessorEngine:
         self._msg_ids: Dict[Message, int] = {}
         self._msgs: List[Message] = []
         self._msg_sort: List[Tuple] = []
-        #: Per message id: the transitions that may consume it.
-        self._consumers: List[Tuple[CompiledTransition, ...]] = []
+        self._msg_senders: List[str] = []
+        #: Per message id: the indices of the transitions that may consume
+        #: it, ascending.
+        self._consumer_indices: List[Tuple[int, ...]] = []
         #: Per process position: ``local id -> hash((position, pid, local))``.
         self._entry_hash_memo: Tuple[Dict[int, int], ...] = tuple(
             {} for _ in self._pids
         )
         #: ``(message id, count) -> item_hash(message, count)``.
-        self._net_contrib_memo: Dict[Tuple[int, int], int] = {}
+        self._net_contrib = _NetContribMemo(self._msgs)
         #: Packed execution -> object-graph :class:`Execution`.
         self._exec_memo: Dict[PackedExecution, Execution] = {}
+        #: The inverse of ``_exec_memo``.
+        self._packed_memo: Dict[Execution, PackedExecution] = {}
+        #: ``packed_of(execution)``: the packed execution of an
+        #: :class:`Execution` returned by :meth:`execution_of` (a C-level
+        #: dict lookup; ``KeyError`` for any other execution).
+        self.packed_of = self._packed_memo.__getitem__
 
     # ------------------------------------------------------------------ #
     # Interning
@@ -212,6 +241,7 @@ class FastSuccessorEngine:
             self._msg_ids[message] = message_id
             self._msgs.append(message)
             self._msg_sort.append(message.sort_key())
+            self._msg_senders.append(message.sender)
             consumers = []
             for transition in self._transitions:
                 candidate = (
@@ -224,8 +254,8 @@ class FastSuccessorEngine:
                 )
                 transition.candidate_flags.append(candidate)
                 if candidate:
-                    consumers.append(transition)
-            self._consumers.append(tuple(consumers))
+                    consumers.append(transition.index)
+            self._consumer_indices.append(tuple(consumers))
         return message_id
 
     def _entry_hash(self, position: int, local_id: int) -> int:
@@ -234,14 +264,6 @@ class FastSuccessorEngine:
         if value is None:
             value = _entry_hash(position, self._pids[position], self._locals[local_id])
             memo[local_id] = value
-        return value
-
-    def _net_contrib(self, message_id: int, count: int) -> int:
-        key = (message_id, count)
-        value = self._net_contrib_memo.get(key)
-        if value is None:
-            value = item_hash(self._msgs[message_id], count)
-            self._net_contrib_memo[key] = value
         return value
 
     def table_sizes(self) -> Dict[str, int]:
@@ -301,7 +323,7 @@ class FastSuccessorEngine:
         nethash = 0
         words = local_words
         for message_id, count in net:
-            nethash ^= self._net_contrib(message_id, count)
+            nethash ^= self._net_contrib[message_id, count]
             words.append(message_id)
             words.append(count)
         return tuple(words), lhash, nethash, combine_state_hash(lhash, nethash)
@@ -309,8 +331,8 @@ class FastSuccessorEngine:
     def decode(self, packed: PackedState) -> GlobalState:
         """Materialise the object-graph state of a packed state.
 
-        Off the hot path by design: used for counterexample replay,
-        invariant-memo misses and the reducer bridge.  The precomputed
+        Off the hot path by design: used for counterexample replay and
+        invariant-memo misses.  The precomputed
         accumulators are reattached, so nothing is rehashed.
         """
         words, lhash, nethash, _fp = packed
@@ -342,44 +364,57 @@ class FastSuccessorEngine:
     def enabled_packed(self, packed: PackedState) -> Tuple[PackedExecution, ...]:
         """All enabled executions, in the object engine's exact order."""
         words = packed[0]
-        count = self._num_processes
-        consumers = self._consumers
+        consumers = self._consumer_indices
         buckets: Dict[int, List[int]] = {}
-        for i in range(count, len(words), 2):
-            message_id = words[i]
-            for transition in consumers[message_id]:
-                bucket = buckets.get(transition.index)
+        for message_id in words[self._num_processes::2]:
+            for index in consumers[message_id]:
+                bucket = buckets.get(index)
                 if bucket is None:
-                    buckets[transition.index] = [message_id]
+                    buckets[index] = [message_id]
                 else:
                     bucket.append(message_id)
         if not buckets:
             return ()
         result: List[PackedExecution] = []
-        for transition in self._transitions:
-            candidate_ids = buckets.get(transition.index)
-            if candidate_ids is None:
-                continue
-            key = (words[transition.position], tuple(candidate_ids))
-            executions = transition.enabled_memo.get(key)
+        transitions = self._transitions
+        capacity = self.memo_capacity
+        for index in sorted(buckets):
+            transition = transitions[index]
+            key = (words[transition.position], tuple(buckets[index]))
+            memo = transition.enabled_memo
+            executions = memo.get(key)
             if executions is None:
                 self.memo_misses += 1
-                executions = self._compute_enabled(transition, key[0], key[1])
-                transition.enabled_memo[key] = executions
-                if (
-                    self.memo_capacity is not None
-                    and len(transition.enabled_memo) > self.memo_capacity
-                ):
-                    transition.enabled_memo.popitem(last=False)
+                executions = tuple(
+                    (index, consumed)
+                    for consumed in self._compute_enabled(transition, key[0], key[1])
+                )
+                memo[key] = executions
+                if capacity is not None and len(memo) > capacity:
+                    memo.popitem(last=False)
                     self.memo_evictions += 1
             else:
                 self.memo_hits += 1
-                if self.memo_capacity is not None:
-                    transition.enabled_memo.move_to_end(key)
-            index = transition.index
-            for consumed in executions:
-                result.append((index, consumed))
+                if capacity is not None:
+                    memo.move_to_end(key)
+            result.extend(executions)
         return tuple(result)
+
+    def pending_senders(self, packed: PackedState, index: int) -> FrozenSet[str]:
+        """Senders of the pending messages transition ``index`` could consume.
+
+        The packed answer to
+        :attr:`repro.checker.search.ReductionContext.pending_senders`: a scan
+        of the network words through the transition's ``candidate_flags``
+        (recipient, message type and allowed senders), with no decode.
+        """
+        flags = self._transitions[index].candidate_flags
+        senders = self._msg_senders
+        return frozenset([
+            senders[message_id]
+            for message_id in packed[0][self._num_processes::2]
+            if flags[message_id]
+        ])
 
     def _sorted_by_message(self, ids) -> List[int]:
         sort_keys = self._msg_sort
@@ -446,7 +481,8 @@ class FastSuccessorEngine:
         consumed = execution[1]
         position = transition.position
         local_id = words[position]
-        spec_ids = tuple(words[pos] for pos in transition.spec_positions)
+        spec_positions = transition.spec_positions
+        spec_ids = tuple(map(words.__getitem__, spec_positions)) if spec_positions else ()
         key = (local_id, consumed, spec_ids)
         cached = transition.action_memo.get(key)
         if cached is None:
@@ -463,76 +499,57 @@ class FastSuccessorEngine:
             self.memo_hits += 1
             if self.memo_capacity is not None:
                 transition.action_memo.move_to_end(key)
-        new_local_id, outbox = cached
+        new_local_id, lhash_delta, delta = cached
+        if not delta and new_local_id == local_id:
+            return words, lhash, nethash, combine_state_hash(lhash, nethash)
 
-        count = self._num_processes
+        out = list(words)
         if new_local_id != local_id:
-            lhash ^= self._entry_hash(position, local_id) ^ self._entry_hash(
-                position, new_local_id
-            )
-            locals_part = (
-                words[:position] + (new_local_id,) + words[position + 1:count]
-            )
-        else:
-            locals_part = words[:count]
-
-        delta: Dict[int, int] = {}
-        for message_id in consumed:
-            delta[message_id] = delta.get(message_id, 0) - 1
-        for message_id in outbox:
-            delta[message_id] = delta.get(message_id, 0) + 1
-        delta = {message_id: d for message_id, d in delta.items() if d}
-        if not delta:
-            new_words = locals_part + words[count:]
-            return new_words, lhash, nethash, combine_state_hash(lhash, nethash)
-
+            lhash ^= lhash_delta
+            out[position] = new_local_id
+        # Splice the few changed (message id, count) pairs into the sorted
+        # network words; ``delta`` runs from the highest id down, so the
+        # positions found in the original words stay valid.
+        count = self._num_processes
         contrib = self._net_contrib
-        delta_ids = sorted(delta)
-        out = list(locals_part)
-        di = 0
-        nd = len(delta_ids)
-        i = count
-        n = len(words)
-        while i < n or di < nd:
-            if di < nd and (i >= n or delta_ids[di] < words[i]):
-                message_id = delta_ids[di]
-                change = delta[message_id]
-                if change < 0:
-                    raise TransitionExecutionError(
-                        f"transition {transition.spec.name} consumed a message "
-                        "not present in the network"
-                    )
-                out.append(message_id)
-                out.append(change)
-                nethash ^= contrib(message_id, change)
-                di += 1
-            elif di < nd and delta_ids[di] == words[i]:
-                message_id = words[i]
-                old_count = words[i + 1]
-                new_count = old_count + delta[message_id]
+        ids = words[count::2]
+        for message_id, change in delta:
+            slot = bisect_left(ids, message_id)
+            at = count + 2 * slot
+            if slot < len(ids) and ids[slot] == message_id:
+                old_count = out[at + 1]
+                new_count = old_count + change
                 if new_count < 0:
                     raise TransitionExecutionError(
                         f"transition {transition.spec.name} consumed more copies "
                         "of a message than the network holds"
                     )
-                nethash ^= contrib(message_id, old_count)
+                nethash ^= contrib[message_id, old_count]
                 if new_count:
-                    out.append(message_id)
-                    out.append(new_count)
-                    nethash ^= contrib(message_id, new_count)
-                di += 1
-                i += 2
+                    out[at + 1] = new_count
+                    nethash ^= contrib[message_id, new_count]
+                else:
+                    del out[at:at + 2]
             else:
-                out.append(words[i])
-                out.append(words[i + 1])
-                i += 2
+                if change < 0:
+                    raise TransitionExecutionError(
+                        f"transition {transition.spec.name} consumed a message "
+                        "not present in the network"
+                    )
+                out[at:at] = (message_id, change)
+                nethash ^= contrib[message_id, change]
         return tuple(out), lhash, nethash, combine_state_hash(lhash, nethash)
 
     def _apply_action(
         self, transition: CompiledTransition, local_id: int,
         consumed: Tuple[int, ...], spec_ids: Tuple[int, ...],
-    ) -> Tuple[int, Tuple[int, ...]]:
-        """Memo-miss path: run the real action once, intern its results."""
+    ) -> Tuple[int, int, Tuple[Tuple[int, int], ...]]:
+        """Memo-miss path: run the real action once, intern its results.
+
+        Returns the action memo entry ``(new local id, locals-hash delta,
+        network delta)``; the network delta lists the ``(message id, count
+        change)`` pairs with a non-zero change, highest id first.
+        """
         local = self._locals[local_id]
         messages = tuple(self._msgs[message_id] for message_id in consumed)
         spec_view = {
@@ -553,10 +570,23 @@ class FastSuccessorEngine:
             raise TransitionExecutionError(
                 f"transition {transition.spec.name} produced an unhashable local state"
             ) from exc
-        outbox = tuple(
-            self._intern_message(message) for message in context.outbox
+        changes: Dict[int, int] = {}
+        for message_id in consumed:
+            changes[message_id] = changes.get(message_id, 0) - 1
+        for message in context.outbox:
+            message_id = self._intern_message(message)
+            changes[message_id] = changes.get(message_id, 0) + 1
+        delta = tuple(
+            (message_id, changes[message_id])
+            for message_id in sorted(changes, reverse=True)
+            if changes[message_id]
         )
-        return self._intern_local(new_local), outbox
+        new_local_id = self._intern_local(new_local)
+        position = transition.position
+        lhash_delta = self._entry_hash(position, local_id) ^ self._entry_hash(
+            position, new_local_id
+        )
+        return new_local_id, lhash_delta, delta
 
     # ------------------------------------------------------------------ #
     # Object-graph bridges
@@ -570,7 +600,18 @@ class FastSuccessorEngine:
                 spec, tuple(self._msgs[message_id] for message_id in execution[1])
             )
             self._exec_memo[execution] = cached
+            self._packed_memo[cached] = execution
         return cached
+
+    def executions_of(
+        self, executions: Tuple[PackedExecution, ...]
+    ) -> Tuple[Execution, ...]:
+        """:meth:`execution_of` over a tuple (one C-level pass when every
+        execution is already memoised, as on any revisited enabled set)."""
+        try:
+            return tuple(map(self._exec_memo.__getitem__, executions))
+        except KeyError:
+            return tuple(map(self.execution_of, executions))
 
     def replay_path(self, path: Tuple[int, ...]) -> PackedState:
         """Walk an execution-index path from the initial state.

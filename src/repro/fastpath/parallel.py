@@ -55,14 +55,13 @@ from ..parallel.worksteal import (
     StripedClaimTable,
     WorkerTelemetryChannel,
     WorkStealingDeques,
-    pending_indices,
 )
 from .compiler import FastSuccessorEngine, PackedExecution, PackedState
 from .search import (
     fast_bfs_search,
     fast_dfs_search,
     make_invariant_checker,
-    make_reduction_bridge,
+    reduce_packed,
 )
 
 __all__ = ["fast_parallel_bfs_search", "fast_parallel_dfs_search"]
@@ -170,22 +169,23 @@ def _fast_worksteal_worker(
                                 stats["transitions_executed"],
                                 stats["revisits"])
 
-        def expand(frame: _FastLocalFrame, bridge) -> None:
+        def expand(frame: _FastLocalFrame, on_stack) -> None:
             enabled = engine.enabled_packed(frame.packed)
             stats["enabled_set_computations"] += 1
             frame.enabled = enabled
             if config.check_deadlocks and not enabled:
                 stats["deadlock_states"] += 1
-            if bridge is None or len(enabled) <= 1:
+            if reducer is None or len(enabled) <= 1:
                 stats["full_expansions"] += 1
                 frame.pending = tuple(range(len(enabled)))
                 return
-            reduced = bridge(frame.packed, enabled, frame.successors)
+            reduced = reduce_packed(reducer, engine, frame.packed, enabled,
+                                    frame.successors, on_stack)
             if len(reduced) < len(enabled):
                 stats["reduced_expansions"] += 1
             else:
                 stats["full_expansions"] += 1
-            frame.pending = pending_indices(enabled, reduced)
+            frame.pending = tuple(map(enabled.index, reduced))
 
         def maybe_donate(
             task: FastStolenFrame, stack: List[_FastLocalFrame], floor: List[int]
@@ -226,24 +226,15 @@ def _fast_worksteal_worker(
             stack = [root]
             stack_fps: Set[int] = set()
             donate_floor = [0]
-            bridge = None
-            if reducer is not None:
+
+            def on_stack(candidate: PackedState) -> bool:
                 # Fingerprint-based proviso, mirroring the object-graph
                 # work-stealing engine: the thief's local stack plus the
                 # frame's ancestor fingerprints reconstruct the serial path.
-                def fingerprint_on_stack(_words_of):
-                    def on_stack(candidate):
-                        fingerprint = candidate.fingerprint()
-                        return (fingerprint in stack_fps
-                                or fingerprint in ancestor_fps)
+                return candidate[3] in stack_fps or candidate[3] in ancestor_fps
 
-                    return on_stack
-
-                bridge = make_reduction_bridge(
-                    engine, protocol, reducer, fingerprint_on_stack
-                )
             if task.pending is None:
-                expand(root, bridge)
+                expand(root, on_stack)
             else:
                 root.enabled = engine.enabled_packed(root.packed)
                 stats["enabled_set_computations"] += 1
@@ -300,7 +291,7 @@ def _fast_worksteal_worker(
                     continue
 
                 child = _FastLocalFrame(successor, frame.path + (index,))
-                expand(child, bridge)
+                expand(child, on_stack)
                 stack.append(child)
                 stack_fps.add(fingerprint)
                 if len(child.path) > stats["max_depth"]:

@@ -5,18 +5,20 @@ These mirror :func:`repro.checker.search.dfs_search` and
 statistics semantics, same budget handling, same observer events, same
 counterexamples — but the currency of the loop is the packed
 :data:`~repro.fastpath.compiler.PackedState` word tuple.  Object-graph
-states are materialised in exactly three places, all off the hot path:
+states are materialised in exactly two places, both off the hot path:
 
 * **invariant evaluation misses** — verdicts of invariants declared
   ``network_sensitive=False`` (all bundled properties) are memoised per
   local-state word vector, which is tiny compared to the state count; a
   network-sensitive invariant is evaluated per state via ``decode`` and
   stays correct, just slower;
-* **the reducer bridge** — the stubborn-set reducers are object-graph
-  functions, so when a reduction is configured the expanded state and its
-  executions are decoded for the reducer's benefit while dedup, successor
-  application and hashing stay packed;
 * **counterexample replay** — only the violating path is decoded.
+
+The stubborn-set reducers decode nothing: :func:`reduce_packed` hands them
+a packed state view (:class:`~repro.checker.search.ReductionContext` with
+packed state handles, a word-level ``pending_senders`` and memoised
+object executions), so dedup, successor application, hashing and the
+reduction all stay packed.
 
 Store semantics match the object engine's: ``"full"`` deduplicates exact
 packed words (interning is injective, so word equality is state equality),
@@ -27,6 +29,7 @@ bit-identical to ``GlobalState.fingerprint()``.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..checker.counterexample import Counterexample, Step
@@ -43,6 +46,7 @@ from ..checker.statestore import ShardedFingerprintStore
 from ..engine.events import PROGRESS_INTERVAL, Observer, emit
 from ..mp.protocol import Protocol
 from ..mp.state import GlobalState
+from ..mp.transition import Execution
 from .compiler import FastSuccessorEngine, PackedExecution, PackedState
 
 
@@ -162,84 +166,45 @@ class _FastFrame:
         self.successors: Dict[PackedExecution, PackedState] = {}
 
 
-def make_reduction_bridge(
-    engine: FastSuccessorEngine,
-    protocol: Protocol,
+def reduce_packed(
     reducer: Reducer,
-    make_on_stack: Callable[
-        [Dict[GlobalState, Tuple[int, ...]]], Callable[[GlobalState], bool]
-    ],
-):
-    """Adapter running an object-graph reducer over a packed frame.
+    engine: FastSuccessorEngine,
+    packed: PackedState,
+    enabled: Tuple[PackedExecution, ...],
+    successor_memo: Dict[PackedExecution, PackedState],
+    on_stack: Callable[[PackedState], bool],
+) -> Tuple[PackedExecution, ...]:
+    """Run a reducer on a packed frame; return the packed executions it keeps.
 
-    Returns ``bridge(packed, enabled, successor_memo) -> reduced packed
-    executions``.  The expanded state and its executions are decoded once;
-    proviso successors computed for the reducer are kept in the frame's
-    packed memo so the search reuses them on expansion, mirroring the
-    object engine's per-frame memoisation.
-
-    ``make_on_stack`` builds the cycle-proviso predicate; it receives the
-    bridge's decoded-state -> packed-words map (filled as the reducer asks
-    for successors) so word-exact callers can avoid re-encoding, while the
-    fingerprint-based work-stealing caller ignores it.
+    The reducer sees the packed state view: the state handles are packed
+    states, ``pending_senders`` scans the network words, and the enabled
+    executions come from the memoised ``execution_of``, so nothing is
+    decoded.  Proviso successors computed for the reducer are kept in the
+    frame's ``successor_memo`` so the search reuses them on expansion.
     """
+    executions = engine.executions_of(enabled)
+    packed_of = engine.packed_of
 
-    def bridge(
-        packed: PackedState,
-        enabled: Tuple[PackedExecution, ...],
-        successor_memo: Dict[PackedExecution, PackedState],
-    ) -> Tuple[PackedExecution, ...]:
-        state = engine.decode(packed)
-        executions = tuple(engine.execution_of(p) for p in enabled)
-        packed_of = dict(zip(executions, enabled))
-        decoded: Dict[PackedExecution, GlobalState] = {}
-        words_of: Dict[GlobalState, Tuple[int, ...]] = {}
+    def successor(execution: Execution) -> PackedState:
+        target = packed_of(execution)
+        child = successor_memo.get(target)
+        if child is None:
+            child = engine.successor_packed(packed, target)
+            successor_memo[target] = child
+        return child
 
-        def successor_fn(execution):
-            target = packed_of[execution]
-            packed_successor = successor_memo.get(target)
-            if packed_successor is None:
-                packed_successor = engine.successor_packed(packed, target)
-                successor_memo[target] = packed_successor
-            child = decoded.get(target)
-            if child is None:
-                child = engine.decode(packed_successor)
-                decoded[target] = child
-                words_of[child] = packed_successor[0]
-            return child
-
-        context = ReductionContext(
-            state=state,
-            enabled=executions,
-            protocol=protocol,
-            successor=successor_fn,
-            on_stack=make_on_stack(words_of),
-            engine=None,
-        )
-        reduced = reducer(context)
-        if reduced is executions or len(reduced) == len(executions):
-            return enabled
-        return tuple(packed_of[execution] for execution in reduced)
-
-    return bridge
-
-
-def words_on_stack_factory(
-    engine: FastSuccessorEngine, on_stack_words: Set[Tuple[int, ...]]
-):
-    """Word-exact cycle-proviso predicate for :func:`make_reduction_bridge`
-    (the serial DFS: membership in the live packed-words stack set)."""
-
-    def make_on_stack(words_of: Dict[GlobalState, Tuple[int, ...]]):
-        def on_stack(candidate: GlobalState) -> bool:
-            words = words_of.get(candidate)
-            if words is None:
-                words = engine.encode(candidate)[0]
-            return words in on_stack_words
-
-        return on_stack
-
-    return make_on_stack
+    reduced = reducer(ReductionContext(
+        state=packed,
+        enabled=executions,
+        protocol=engine.protocol,
+        successor=successor,
+        on_stack=on_stack,
+        pending_senders=partial(engine.pending_senders, packed),
+        engine=engine,
+    ))
+    if reduced is executions:
+        return enabled
+    return tuple(map(packed_of, reduced))
 
 
 def _path_from_stack(
@@ -323,12 +288,9 @@ def fast_dfs_search(
             return SearchOutcome(False, False, counterexample, statistics)
 
     on_stack_words: Set[Tuple[int, ...]] = {initial[0]}
-    bridge = None
-    if reducer is not None:
-        bridge = make_reduction_bridge(
-            engine, protocol, reducer,
-            words_on_stack_factory(engine, on_stack_words),
-        )
+
+    def on_stack(candidate: PackedState) -> bool:
+        return candidate[0] in on_stack_words
 
     def expand(frame: _FastFrame) -> None:
         nonlocal deadlock_states
@@ -336,24 +298,29 @@ def fast_dfs_search(
         statistics.enabled_set_computations += 1
         if config.check_deadlocks and not enabled:
             deadlock_states += 1
-        if bridge is None or len(enabled) <= 1:
+        if reducer is None or len(enabled) <= 1:
             statistics.full_expansions += 1
             frame.pending = enabled
             return
-        reduced = bridge(frame.packed, enabled, frame.successors)
+        reduced = reduce_packed(reducer, engine, frame.packed, enabled,
+                                frame.successors, on_stack)
         if len(reduced) < len(enabled):
             statistics.reduced_expansions += 1
+            frame.pending = reduced
         else:
             statistics.full_expansions += 1
-        frame.pending = reduced
+            frame.pending = enabled
 
     root = _FastFrame(initial, via=None)
     expand(root)
     stack: List[_FastFrame] = [root]
+    successor_packed = engine.successor_packed
+    store_add = None if store is None else store.add
+    max_seconds, max_states, max_depth = config.max_seconds, config.max_states, config.max_depth
 
     while stack:
-        if config.max_seconds is not None:
-            if time.perf_counter() - start_time > config.max_seconds:
+        if max_seconds is not None:
+            if time.perf_counter() - start_time > max_seconds:
                 complete = False
                 break
         frame = stack[-1]
@@ -366,14 +333,14 @@ def fast_dfs_search(
 
         successor = frame.successors.get(execution)
         if successor is None:
-            successor = engine.successor_packed(frame.packed, execution)
+            successor = successor_packed(frame.packed, execution)
         statistics.transitions_executed += 1
 
-        if store is not None:
-            if not store.add(successor):
+        if store_add is not None:
+            if not store_add(successor):
                 statistics.revisits += 1
                 continue
-            statistics.states_visited = len(store)
+            statistics.states_visited += 1
         else:
             if successor[0] in on_stack_words:
                 statistics.revisits += 1
@@ -394,10 +361,10 @@ def fast_dfs_search(
                 complete = False
                 break
 
-        if config.max_states is not None and statistics.states_visited >= config.max_states:
+        if max_states is not None and statistics.states_visited >= max_states:
             complete = False
             break
-        if config.max_depth is not None and len(stack) > config.max_depth:
+        if max_depth is not None and len(stack) > max_depth:
             complete = False
             continue
 
@@ -405,7 +372,8 @@ def fast_dfs_search(
         expand(child)
         stack.append(child)
         on_stack_words.add(successor[0])
-        statistics.max_depth = max(statistics.max_depth, len(stack) - 1)
+        if len(stack) > statistics.max_depth + 1:
+            statistics.max_depth = len(stack) - 1
 
     statistics.elapsed_seconds = time.perf_counter() - start_time
     record_telemetry()

@@ -75,6 +75,7 @@ from ..checker.search import (
     SearchOutcome,
     _maybe_span,
     dfs_search,
+    object_pending_senders,
 )
 from ..checker.statestore import ShardedFingerprintStore
 from ..engine.events import PROGRESS_INTERVAL, Observer, emit
@@ -196,6 +197,7 @@ def _worksteal_worker(
                     state.fingerprint() in stack_fps
                     or state.fingerprint() in ancestor_fps
                 ),
+                pending_senders=object_pending_senders(protocol, frame.state),
                 engine=engine,
             )
             reduced = reducer(context)

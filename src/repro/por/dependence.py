@@ -32,7 +32,7 @@ annotation leaves senders or recipients unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..mp.protocol import Protocol
 from ..mp.transition import SendSpec, TransitionSpec
@@ -132,6 +132,8 @@ class DependenceRelation:
             sets of the stubborn-set construction are assembled from this.
         dependent_pairs: Symmetric set of dependent transition-name pairs
             (interference or enabling in either direction); used by DPOR.
+        dependents: For each transition name, the sorted names of the
+            transitions dependent with it (``dependent_pairs`` by name).
     """
 
     interference: Dict[str, Tuple[str, ...]]
@@ -140,6 +142,7 @@ class DependenceRelation:
     enables: Dict[str, Tuple[str, ...]]
     enablers_by_sender: Dict[str, Dict[str, Tuple[str, ...]]]
     dependent_pairs: FrozenSet[Tuple[str, str]]
+    dependents: Dict[str, Tuple[str, ...]]
 
     @classmethod
     def precompute(cls, protocol: Protocol) -> "DependenceRelation":
@@ -150,6 +153,7 @@ class DependenceRelation:
         coarse: Dict[str, list] = {t.name: [] for t in transitions}
         enables: Dict[str, list] = {t.name: [] for t in transitions}
         by_sender: Dict[str, Dict[str, list]] = {t.name: {} for t in transitions}
+        dependents: Dict[str, list] = {t.name: [] for t in transitions}
         dependent = set()
 
         for first in transitions:
@@ -166,6 +170,8 @@ class DependenceRelation:
                     coarse[second.name].append(first.name)
                 if first.name < second.name and are_dependent(first, second):
                     dependent.add((first.name, second.name))
+                    dependents[first.name].append(second.name)
+                    dependents[second.name].append(first.name)
 
         return cls(
             interference={name: tuple(values) for name, values in interference.items()},
@@ -177,6 +183,30 @@ class DependenceRelation:
                 for name, senders in by_sender.items()
             },
             dependent_pairs=frozenset(dependent),
+            dependents={name: tuple(sorted(values)) for name, values in dependents.items()},
+        )
+
+    def indexed(self, names: Sequence[str]) -> "IndexedDependence":
+        """Lower the name-keyed tables to int tables over ``names``' indices.
+
+        ``names`` is the protocol's transition declaration order, which both
+        successor engines share, so the stubborn-set closure can run on
+        transition indices without ever touching a name.
+        """
+        index_of = {name: index for index, name in enumerate(names)}
+
+        def lower(values: Tuple[str, ...]) -> Tuple[int, ...]:
+            return tuple(index_of[value] for value in values)
+
+        return IndexedDependence(
+            interference=tuple(lower(self.interferes_with(name)) for name in names),
+            enablers=tuple(lower(self.necessary_enablers_of(name)) for name in names),
+            coarse_enablers=tuple(lower(self.coarse_enablers_of(name)) for name in names),
+            enablers_by_sender=tuple(
+                {sender: lower(values)
+                 for sender, values in self.enablers_by_sender.get(name, {}).items()}
+                for name in names
+            ),
         )
 
     # ------------------------------------------------------------------ #
@@ -224,14 +254,22 @@ class DependenceRelation:
 
     def dependents_of(self, name: str) -> Tuple[str, ...]:
         """All transition names dependent with ``name`` (excluding itself)."""
-        result = []
-        for first, second in self.dependent_pairs:
-            if first == name:
-                result.append(second)
-            elif second == name:
-                result.append(first)
-        return tuple(sorted(result))
+        return self.dependents.get(name, ())
 
     def dependence_degree(self, name: str) -> int:
         """Number of transitions dependent with ``name``; a seed heuristic input."""
-        return len(self.dependents_of(name))
+        return len(self.dependents.get(name, ()))
+
+
+@dataclass(frozen=True)
+class IndexedDependence:
+    """The stubborn-set tables of a :class:`DependenceRelation`, lowered to
+    transition declaration indices (see :meth:`DependenceRelation.indexed`).
+
+    Every attribute is a tuple with one entry per transition index.
+    """
+
+    interference: Tuple[Tuple[int, ...], ...]
+    enablers: Tuple[Tuple[int, ...], ...]
+    coarse_enablers: Tuple[Tuple[int, ...], ...]
+    enablers_by_sender: Tuple[Dict[str, Tuple[int, ...]], ...]

@@ -6,6 +6,19 @@ MP-LPOR (Section IV), the dependence information is pre-computed and
 state-unconditional; the per-state work is a closure over table lookups plus
 a cheap inspection of the pending messages.
 
+The provider never reads a state directly.  It sees each state through the
+search's :class:`~repro.checker.search.ReductionContext`, a *state view*
+with three questions: which senders have messages pending for a transition
+(``pending_senders``), what the successor of an execution is, and whether
+that successor is on the DFS stack.  The object engines answer them from
+:class:`~repro.mp.state.GlobalState`; the packed fast path answers them from
+packed words, so one closure serves both engines with no decoding.  The
+closure itself runs on transition declaration indices (the same in both
+engines), as bit masks: the dependence tables are lowered once per
+provider, the necessary enabling sets are memoised per ``(transition
+index, pending senders)``, and the state-independent growth between two
+state queries is memoised too.  The reduced executions keep name order.
+
 Construction (weak stubborn-set closure, specialised to message passing):
 
 1. Seed the set with one enabled transition chosen by the seed heuristic.
@@ -56,19 +69,41 @@ Construction (weak stubborn-set closure, specialised to message passing):
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Tuple
+from functools import reduce as fold
+from operator import attrgetter, or_
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
-from ..checker.search import ReductionContext
+from ..checker.search import ReductionContext, object_pending_senders
 from ..mp.protocol import Protocol
 from ..mp.state import GlobalState
 from ..mp.transition import Execution, TransitionSpec
 from .dependence import DependenceRelation
 from .seed import SeedHeuristic, opposite_transaction_seed
 
+#: ``pending_senders`` of a state view: transition index -> pending senders.
+PendingSenders = Callable[[int], FrozenSet[str]]
+
+_transition_name = attrgetter("transition.name")
+
+
+def _mask(indices: Iterable[int]) -> int:
+    """The set of transition indices as a bit mask (bit ``i`` = index ``i``)."""
+    mask = 0
+    for index in indices:
+        mask |= 1 << index
+    return mask
+
+
+def _indices(mask: int) -> Tuple[int, ...]:
+    """The transition indices of a bit mask, ascending."""
+    return tuple(index for index in range(mask.bit_length()) if mask >> index & 1)
+
 
 class StubbornSetProvider:
-    """Computes stubborn sets for the DFS of :mod:`repro.checker.search`."""
+    """Computes stubborn sets for the DFS of :mod:`repro.checker.search`.
+
+    Sets of transitions are bit masks over transition declaration indices.
+    """
 
     def __init__(
         self,
@@ -81,12 +116,53 @@ class StubbornSetProvider:
         self.dependence = dependence or DependenceRelation.precompute(protocol)
         self.seed_heuristic = seed_heuristic or opposite_transaction_seed
         self.use_net = use_net
-        self._specs = {transition.name: transition for transition in protocol.transitions}
-        self._visible = {
-            transition.name: transition.annotation.visible
-            for transition in protocol.transitions
+        transitions = protocol.transitions
+        self._names: Tuple[str, ...] = tuple(t.name for t in transitions)
+        self._bit_of: Dict[str, int] = {
+            name: 1 << index for index, name in enumerate(self._names)
         }
-        self._all_names = frozenset(self._specs)
+        tables = self.dependence.indexed(self._names)
+        self._interference = tuple(map(_mask, tables.interference))
+        self._enablers = tuple(map(_mask, tables.enablers))
+        self._enablers_by_sender = tuple(
+            {sender: _mask(values) for sender, values in by_sender.items()}
+            for by_sender in tables.enablers_by_sender
+        )
+        #: Conservative additions of a disabled member (the non-NET path).
+        self._coarse = tuple(
+            interfering | _mask(enablers)
+            for interfering, enablers in zip(self._interference, tables.coarse_enablers)
+        )
+        #: Everything a disabled member's necessary enabling set may add.
+        self._possible = tuple(
+            coarse | enablers for coarse, enablers in zip(self._coarse, self._enablers)
+        )
+        self._allowed = tuple(t.effective_senders() for t in transitions)
+        self._quorum_size = tuple(t.quorum.size for t in transitions)
+        self._visible = _mask(
+            index for index, t in enumerate(transitions) if t.annotation.visible
+        )
+        #: Transition bit -> position of the transition in name order: chosen
+        #: transitions are explored in name order, whatever their
+        #: declaration order.
+        self._rank_of: Dict[int, int] = {
+            self._bit_of[name]: rank for rank, name in enumerate(sorted(self._names))
+        }
+        #: Transition bit -> rank under the seed heuristic's
+        #: ``transition_key``, when it has one (see
+        #: :data:`repro.por.seed.SeedHeuristic`).
+        transition_key = getattr(self.seed_heuristic, "transition_key", None)
+        self._seed_rank_of: Optional[Dict[int, int]] = None
+        if transition_key is not None:
+            self._seed_rank_of = {
+                self._bit_of[t.name]: rank
+                for rank, t in enumerate(sorted(transitions, key=transition_key))
+            }
+        self._net_memo: Dict[Tuple[int, FrozenSet[str]], int] = {}
+        #: ``(closure, todo, enabled) -> _grow(...)``.
+        self._growth: Dict[Tuple[int, int, int], Tuple[int, int, int]] = {}
+        #: ``(chosen, enabled bits) -> _order(...)``.
+        self._orders: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
         #: How many times the provider returned a strict subset / fell back.
         self.reduced_states = 0
         self.fallback_states = 0
@@ -94,69 +170,125 @@ class StubbornSetProvider:
     # ------------------------------------------------------------------ #
     # Necessary enabling sets
     # ------------------------------------------------------------------ #
-    def _coarse_disabled_additions(self, name: str) -> Tuple[str, ...]:
-        """Conservative handling of a disabled member (the non-NET path)."""
-        return (
-            self.dependence.interferes_with(name)
-            + self.dependence.coarse_enablers_of(name)
-        )
-
-    def _necessary_enabling_set(self, state: GlobalState, spec: TransitionSpec) -> Tuple[str, ...]:
-        """Per-state necessary enabling set of a disabled transition.
+    def _disabled_additions(self, index: int, pending_senders: PendingSenders) -> int:
+        """Necessary enabling set of the disabled transition ``index``.
 
         If the transition still lacks messages from some candidate senders,
         any path enabling it must first deliver a message from one of the
         missing senders, so the enabler transitions of those senders form a
         valid necessary enabling set.  Otherwise (enough messages are
         pending but the guard rejects them, or the sender set is unknown)
-        the coarse handling is used.
+        the coarse handling is used.  The result depends on the state only
+        through the pending senders, so it is memoised on them.
         """
         if not self.use_net:
-            return self._coarse_disabled_additions(spec.name)
+            return self._coarse[index]
+        key = (index, pending_senders(index))
+        additions = self._net_memo.get(key)
+        if additions is None:
+            additions = self._net_additions(index, key[1])
+            self._net_memo[key] = additions
+        return additions
 
-        pending = state.network.pending_for(spec.process_id, mtype=spec.message_type)
-        allowed = spec.effective_senders()
-        if allowed is not None:
-            pending = tuple(message for message in pending if message.sender in allowed)
-        pending_senders = frozenset(message.sender for message in pending)
-
-        if len(pending_senders) >= spec.quorum.size:
+    def _net_additions(self, index: int, pending: FrozenSet[str]) -> int:
+        if len(pending) >= self._quorum_size[index]:
             # Enough distinct senders are already pending; the transition is
             # disabled for guard/content reasons the static tables cannot
             # explain, so fall back to the conservative handling.
-            return self._coarse_disabled_additions(spec.name)
+            return self._coarse[index]
+        allowed = self._allowed[index]
+        if allowed is None:
+            # Sender set unknown: any process might provide the missing message.
+            return self._enablers[index]
+        by_sender = self._enablers_by_sender[index]
+        additions = 0
+        for sender in allowed - pending:
+            additions |= by_sender.get(sender, 0)
+        return additions
 
-        if allowed is not None:
-            missing = sorted(allowed - pending_senders)
-            return self.dependence.enablers_from(spec.name, missing)
-        # Sender set unknown: any process might provide the missing message.
-        return self.dependence.necessary_enablers_of(spec.name)
+    def _necessary_enabling_set(self, state: GlobalState, spec: TransitionSpec) -> Tuple[str, ...]:
+        """Object-view wrapper: the necessary enabling set of a disabled
+        transition in ``state``, as names (tests and inspection)."""
+        additions = self._disabled_additions(
+            self._bit_of[spec.name].bit_length() - 1,
+            object_pending_senders(self.protocol, state),
+        )
+        return tuple(self._names[index] for index in _indices(additions))
 
     # ------------------------------------------------------------------ #
     # Closure
     # ------------------------------------------------------------------ #
-    def _closure(self, state: GlobalState, seed_name: str, enabled_names: frozenset) -> frozenset:
-        """Compute the stubborn set (as transition names) from a seed."""
-        closure = {seed_name}
-        queue = deque([seed_name])
-        while queue:
-            name = queue.popleft()
-            if name in enabled_names:
-                additions: Tuple[str, ...] = self.dependence.interferes_with(name)
-            else:
-                additions = self._necessary_enabling_set(state, self._specs[name])
-            for addition in additions:
-                if addition not in closure:
-                    closure.add(addition)
-                    queue.append(addition)
-            if len(closure) == len(self._all_names):
-                break
-        return frozenset(closure)
+    def _closure(self, pending_senders: PendingSenders, seed: int, enabled: int) -> int:
+        """The stubborn set grown from the ``seed`` transition (a one-bit mask).
+
+        ``enabled`` is the mask of enabled transitions.  The closure grows
+        from state-independent tables until a disabled member needs the
+        state's pending senders; those growth steps are memoised, so per
+        state only the queries remain.
+        """
+        closure = todo = seed
+        steps = self._growth
+        while True:
+            key = (closure, todo, enabled)
+            step = steps.get(key)
+            if step is None:
+                step = steps[key] = self._grow(closure, todo, enabled)
+            closure, todo, index = step
+            if index < 0:
+                return closure
+            fresh = self._disabled_additions(index, pending_senders) & ~closure
+            closure |= fresh
+            todo |= fresh
+
+    def _grow(self, closure: int, todo: int, enabled: int) -> Tuple[int, int, int]:
+        """Grow ``closure`` until a member needs the state.
+
+        ``todo`` holds the members whose additions are still to be added.
+        Enabled members add their interfering transitions.  Disabled members
+        wait until no enabled member is left: by then the closure often
+        holds everything their necessary enabling set could add, and they
+        are dropped.  Returns ``(closure, todo, index)`` where ``index`` is
+        the disabled member whose necessary enabling set must be read from
+        the state, or -1 when the closure is complete.
+        """
+        interference = self._interference
+        possible = self._possible
+        while todo:
+            active = todo & enabled
+            if active:
+                member = active & -active
+                todo ^= member
+                fresh = interference[member.bit_length() - 1] & ~closure
+                closure |= fresh
+                todo |= fresh
+                continue
+            index = todo.bit_length() - 1
+            todo ^= 1 << index
+            if possible[index] & ~closure:
+                return closure, todo, index
+        return closure, 0, -1
 
     def stubborn_names(self, state: GlobalState, seed_name: str,
                        enabled_names: frozenset) -> frozenset:
-        """Public wrapper around the closure, useful for tests and inspection."""
-        return self._closure(state, seed_name, enabled_names)
+        """Object-view wrapper around the closure, as names (tests and
+        inspection)."""
+        bit_of = self._bit_of
+        closure = self._closure(
+            object_pending_senders(self.protocol, state),
+            bit_of[seed_name],
+            fold(or_, (bit_of[name] for name in enabled_names), 0),
+        )
+        return frozenset(self._names[index] for index in _indices(closure))
+
+    def _order(self, chosen: int, bits: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Positions, in an enabled set whose executions belong to the
+        transitions ``bits``, of the executions of the ``chosen``
+        transitions: transitions in name order, each one's executions in
+        enabled order."""
+        rank_of = self._rank_of
+        return tuple(position for _rank, position in sorted(
+            (rank_of[bit], position) for position, bit in enumerate(bits) if bit & chosen
+        ))
 
     # ------------------------------------------------------------------ #
     # Reducer interface
@@ -167,31 +299,29 @@ class StubbornSetProvider:
         if len(enabled) <= 1:
             return enabled
 
-        by_name: Dict[str, List[Execution]] = {}
-        for execution in enabled:
-            by_name.setdefault(execution.transition.name, []).append(execution)
-        enabled_names = frozenset(by_name)
-        if len(enabled_names) == 1:
+        bit_of = self._bit_of
+        bits = tuple(map(bit_of.__getitem__, map(_transition_name, enabled)))
+        enabled_mask = fold(or_, bits)
+        if not enabled_mask & (enabled_mask - 1):
             # A single (possibly non-deterministic) transition: no reduction.
             return enabled
 
-        seed = self.seed_heuristic(enabled)
-        closure = self._closure(context.state, seed.transition.name, enabled_names)
-
-        chosen_names = sorted(name for name in closure if name in by_name)
-        if len(chosen_names) == len(enabled_names):
-            self.fallback_states += 1
-            return enabled
-
-        reduced: List[Execution] = []
-        for name in chosen_names:
-            reduced.extend(by_name[name])
-
+        if self._seed_rank_of is not None:
+            seed = min(bits, key=self._seed_rank_of.__getitem__)
+        else:
+            seed = bit_of[self.seed_heuristic(enabled).transition.name]
+        chosen = enabled_mask & self._closure(context.pending_senders, seed, enabled_mask)
         # Visibility condition (ample-set condition C2): a strictly reduced
         # set must not contain property-visible transitions.
-        if any(self._visible.get(name, False) for name in chosen_names):
+        if chosen == enabled_mask or chosen & self._visible:
             self.fallback_states += 1
             return enabled
+
+        key = (chosen, bits)
+        order = self._orders.get(key)
+        if order is None:
+            order = self._orders[key] = self._order(chosen, bits)
+        reduced = tuple(map(enabled.__getitem__, order))
 
         # Cycle (stack) proviso (condition C3): if any explored execution
         # closes a cycle back onto the current DFS stack, expand the state
@@ -199,12 +329,14 @@ class StubbornSetProvider:
         # graphs, not just acyclic ones; see the module docstring for the
         # ignoring-prevention argument.  On acyclic graphs no successor is
         # ever on the stack, so the check never fires and reduction counts
-        # are unchanged.  ``context.successor`` is engine-backed and
-        # memoised, so the states computed here are reused when the DFS
-        # expands them.
-        if any(context.on_stack(context.successor(execution)) for execution in reduced):
-            self.fallback_states += 1
-            return enabled
+        # are unchanged.  ``context.successor`` is memoised per frame, so
+        # the states computed here are reused when the DFS expands them.
+        successor = context.successor
+        on_stack = context.on_stack
+        for execution in reduced:
+            if on_stack(successor(execution)):
+                self.fallback_states += 1
+                return enabled
 
         self.reduced_states += 1
-        return tuple(reduced)
+        return reduced

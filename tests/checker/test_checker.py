@@ -4,6 +4,7 @@ import pytest
 
 from repro.checker import CheckerOptions, ModelChecker, SearchConfig, Strategy, check_protocol
 from repro.checker.property import Invariant, always_true
+from repro.protocols.paxos import PaxosConfig, build_paxos_quorum, consensus_invariant
 
 from ..conftest import build_ping_pong, build_vote_collection
 
@@ -70,10 +71,20 @@ class TestOptions:
 
     def test_named_seed_heuristics_accepted(self):
         protocol = build_vote_collection(voters=3, quorum=2)
-        for name in ("opposite-transaction", "transaction", "first"):
+        for name in ("opposite-transaction", "transaction", "first", "fewest-dependents"):
             options = CheckerOptions(seed_heuristic=name)
             result = ModelChecker(protocol, always_true(), options).run(Strategy.SPOR)
             assert result.verified
+
+
+    def test_fewest_dependents_runs_through_the_strategy_shim(self):
+        # Regression: ModelChecker.run built the heuristic without the
+        # dependence relation and raised ValueError mid-run.
+        protocol = build_paxos_quorum(PaxosConfig(2, 2, 1))
+        options = CheckerOptions(seed_heuristic="fewest-dependents")
+        result = ModelChecker(protocol, consensus_invariant(), options).run(Strategy.SPOR_NET)
+        assert result.verified and result.complete
+        assert result.statistics.reduced_expansions > 0
 
 
 class TestResultContents:

@@ -11,6 +11,7 @@ from repro.engine.plan import (
     GOALS,
     PLAN_AXES,
     REDUCTIONS,
+    SEED_HEURISTICS,
     SHAPES,
     STORES,
     CheckPlan,
@@ -34,6 +35,12 @@ class TestVocabularies:
         from repro.checker.statestore import STORE_KINDS
 
         assert set(STORES) == set(STORE_KINDS)
+
+    def test_seed_heuristic_vocabulary_stays_in_lockstep_with_the_factory(self):
+        # A literal for the same import-cycle reason as STORES.
+        from repro.por.seed import HEURISTIC_NAMES
+
+        assert set(SEED_HEURISTICS) == set(HEURISTIC_NAMES)
 
     def test_plan_axes_cover_the_capability_surface(self):
         assert set(PLAN_AXES) == {
@@ -104,6 +111,30 @@ class TestConstruction:
         assert clone.value == 2
         assert str(clone) == "no engine"
         assert clone.alternative == CheckPlan()
+
+
+class TestSeedHeuristic:
+    def test_unknown_heuristic_is_rejected_when_the_plan_is_built(self):
+        with pytest.raises(UnsupportedPlanError) as excinfo:
+            CheckPlan(reduction="spor-net", seed_heuristic="fewest-dependent")
+        assert excinfo.value.axis == "seed_heuristic"
+        assert excinfo.value.alternative == "fewest-dependents"
+
+    def test_fewest_dependents_runs_through_the_plan_path(self):
+        # Regression: the plan path built the heuristic without the
+        # dependence relation and crashed mid-run.
+        from repro.engine import run_plan
+        from repro.protocols.catalog import storage_entry
+
+        entry = storage_entry(3, 1)
+        for successors in ("object", "fast"):
+            result = run_plan(
+                entry.quorum_model(), entry.invariant,
+                CheckPlan(reduction="spor-net", seed_heuristic="fewest-dependents",
+                          successors=successors),
+            )
+            assert result.verified and result.complete
+            assert result.statistics.reduced_expansions > 0
 
 
 class TestNormalisation:

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import io
 import multiprocessing
+from functools import lru_cache
 
 import pytest
 
 from repro.cli import main
 from repro.engine import CheckPlan, UnsupportedPlanError, default_registry, run_plan
 from repro.engine.plan import SUCCESSOR_MODES
-from repro.protocols.catalog import multicast_entry
+from repro.protocols.catalog import multicast_entry, paxos_entry, storage_entry
+from repro.refine import combined_split, quorum_split, reply_split
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -181,3 +183,81 @@ class TestLegacyShimCarriesTheFastPath:
         )
         assert plan.successors == "fast"
         assert plan_for_strategy(Strategy.SPOR).successors == "object"
+
+
+#: The paper's Table II rows; Table I's quorum column is their unsplit cells.
+TABLE_ENTRIES = {
+    entry.key: entry
+    for entry in (
+        paxos_entry(2, 3, 1),
+        paxos_entry(2, 3, 1, faulty=True),
+        multicast_entry(3, 0, 1, 1),
+        multicast_entry(2, 1, 0, 1),
+        multicast_entry(3, 1, 1, 1),
+        multicast_entry(2, 1, 2, 1),
+        storage_entry(3, 1),
+        storage_entry(3, 2, wrong_specification=True),
+    )
+}
+SPLITS = {
+    "unsplit": lambda protocol: protocol,
+    "reply-split": reply_split,
+    "quorum-split": quorum_split,
+    "combined-split": combined_split,
+}
+TABLE_CELLS = [
+    pytest.param(key, split, reduction, id=f"{key}-{split}-{reduction}")
+    for key in TABLE_ENTRIES
+    for split in SPLITS
+    for reduction in ("spor", "spor-net")
+]
+
+
+def _run_cell(key: str, split: str, reduction: str, **axes):
+    entry = TABLE_ENTRIES[key]
+    protocol = SPLITS[split](entry.quorum_model())
+    return run_plan(protocol, entry.invariant, CheckPlan(reduction=reduction, **axes))
+
+
+@lru_cache(maxsize=None)
+def _object_reference(key: str, split: str, reduction: str):
+    """The object serial DFS result of a cell (run once per cell)."""
+    result = _run_cell(key, split, reduction)
+    stats = result.statistics
+    return (result.verified, stats.states_visited, stats.transitions_executed,
+            stats.reduced_expansions, stats.full_expansions)
+
+
+class TestPackedSporParity:
+    """Every Table I/II cell under SPOR and SPOR-NET: the packed engines run
+    the same stubborn-set closure as the object engine, through the packed
+    state view, and must explore exactly the same reduced state space."""
+
+    @pytest.mark.parametrize("key,split,reduction", TABLE_CELLS)
+    def test_packed_serial_dfs_equals_object_serial_dfs(self, key, split, reduction):
+        result = _run_cell(key, split, reduction, successors="fast")
+        stats = result.statistics
+        assert result.engine == "serial-dfs-fast"
+        assert (result.verified, stats.states_visited, stats.transitions_executed,
+                stats.reduced_expansions, stats.full_expansions) == (
+            _object_reference(key, split, reduction)
+        )
+
+    @pytest.mark.skipif(not FORK, reason="parallel engines need fork")
+    @pytest.mark.parametrize("key,split,reduction", TABLE_CELLS)
+    def test_packed_worksteal_equals_object_serial_dfs(self, key, split, reduction):
+        result = _run_cell(key, split, reduction, successors="fast", workers=2)
+        assert result.engine == "worksteal-dfs-fast"
+        verified, states, transitions, _reduced, _full = _object_reference(
+            key, split, reduction
+        )
+        assert result.verified == verified
+        if verified:
+            # The Table cells are acyclic, so the stack proviso never fires
+            # and every state's stubborn set depends on the state alone: the
+            # reduced state space is the same whichever worker claims a
+            # state first.  A violating run stops at the first
+            # counterexample, which is a race between workers, so only its
+            # verdict is deterministic.
+            assert (result.statistics.states_visited,
+                    result.statistics.transitions_executed) == (states, transitions)

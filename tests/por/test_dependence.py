@@ -1,5 +1,7 @@
 """Unit tests for the pre-computed dependence relations."""
 
+import pytest
+
 from repro.por.dependence import (
     DependenceRelation,
     are_dependent,
@@ -103,6 +105,43 @@ class TestPrecomputedRelation:
         dependents = relation.dependents_of("PING@pong")
         assert "START@ping" in dependents and "PONG@ping" in dependents
         assert relation.dependence_degree("PING@pong") == len(dependents)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_paxos_quorum(PaxosConfig(2, 2, 1)),
+        lambda: quorum_split(build_paxos_quorum(PaxosConfig(1, 3, 1))),
+    ], ids=["paxos", "paxos-quorum-split"])
+    def test_dependents_tables_match_a_scan_of_the_pairs(self, build):
+        relation = DependenceRelation.precompute(build())
+        for name in relation.interference:
+            scanned = sorted(
+                other
+                for pair in relation.dependent_pairs if name in pair
+                for other in pair if other != name
+            )
+            assert relation.dependents_of(name) == tuple(scanned)
+            assert relation.dependence_degree(name) == len(scanned)
+        assert relation.dependents_of("no-such-transition") == ()
+        assert relation.dependence_degree("no-such-transition") == 0
+
+    def test_indexed_tables_follow_declaration_order(self):
+        protocol = build_paxos_quorum(PaxosConfig(1, 3, 1))
+        relation = DependenceRelation.precompute(protocol)
+        names = [t.name for t in protocol.transitions]
+        tables = relation.indexed(names)
+        for index, name in enumerate(names):
+            assert [names[i] for i in tables.interference[index]] == list(
+                relation.interferes_with(name))
+            assert [names[i] for i in tables.enablers[index]] == list(
+                relation.necessary_enablers_of(name))
+            assert [names[i] for i in tables.coarse_enablers[index]] == list(
+                relation.coarse_enablers_of(name))
+            assert {
+                sender: [names[i] for i in values]
+                for sender, values in tables.enablers_by_sender[index].items()
+            } == {
+                sender: list(values)
+                for sender, values in relation.enablers_by_sender[name].items()
+            }
 
     def test_coarse_enablers_ignore_refinement(self):
         protocol = build_paxos_quorum(PaxosConfig(1, 3, 1))
