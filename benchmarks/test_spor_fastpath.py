@@ -22,7 +22,6 @@ Honesty rules:
 from __future__ import annotations
 
 import json
-import os
 import statistics
 import time
 from pathlib import Path
@@ -34,7 +33,7 @@ from repro.protocols.catalog import paxos_entry
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Timed rounds per engine (interleaved).
-ROUNDS = int(os.environ.get("REPRO_SPOR_ROUNDS", "9"))
+ROUNDS = 9
 
 #: Packed SPOR-NET must be at least this many times faster than object SPOR-NET.
 SPEEDUP_BAR = 4.0
@@ -72,7 +71,7 @@ def test_packed_spor_net_beats_object_spor_net(benchmark):
     def measure():
         times = {"fast": [], "object": []}
         results = {}
-        for _ in range(max(ROUNDS, 5)):
+        for _ in range(ROUNDS):
             for successors in ("fast", "object"):
                 seconds, results[successors] = _run(entry, successors)
                 times[successors].append(seconds)

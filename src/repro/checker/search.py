@@ -157,7 +157,9 @@ def object_pending_senders(protocol: Protocol, state: GlobalState) -> Callable[[
     return pending_senders
 
 
-#: A reducer maps a reduction context to the subset of executions to explore.
+#: A reducer maps a reduction context to the subset of executions to explore:
+#: elements of ``context.enabled`` itself, which the packed engines map back
+#: by identity.
 Reducer = Callable[[ReductionContext], Tuple[Execution, ...]]
 
 

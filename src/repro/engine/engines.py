@@ -84,6 +84,7 @@ def make_reducer(protocol: Protocol, plan: CheckPlan) -> Optional[Reducer]:
         dependence=dependence,
         seed_heuristic=heuristic,
         use_net=plan.reduction == "spor-net",
+        memo_capacity=plan.fastpath_memo_capacity,
     )
     return provider.reduce
 

@@ -152,9 +152,10 @@ class CheckPlan:
             violations.
         engine_cache_capacity: LRU bound for the successor-engine caches.
         fastpath_memo_capacity: LRU bound for the packed fast path's
-            per-transition guard/action memo tables and the property-verdict
-            memo (per memo table; ``None`` keeps them unbounded, which is
-            fine for the bundled protocols' small local-state spaces).
+            per-transition guard/action memo tables, the property-verdict
+            memo and the stubborn-set reducer's NET memo (per memo table;
+            ``None`` keeps them unbounded, which is fine for the bundled
+            protocols' small local-state spaces).
         goal: ``"invariant"`` or ``"liveness"`` — what kind of property the
             run checks.  Liveness plans are served by the nested-DFS
             engines; the goal must match the property object handed to

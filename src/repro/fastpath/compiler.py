@@ -160,8 +160,7 @@ class FastSuccessorEngine:
         "_entry_hash_memo",
         "_net_contrib",
         "_exec_memo",
-        "_packed_memo",
-        "packed_of",
+        "packed_by_id",
         "memo_capacity",
         "memo_evictions",
         "memo_hits",
@@ -216,12 +215,10 @@ class FastSuccessorEngine:
         self._net_contrib = _NetContribMemo(self._msgs)
         #: Packed execution -> object-graph :class:`Execution`.
         self._exec_memo: Dict[PackedExecution, Execution] = {}
-        #: The inverse of ``_exec_memo``.
-        self._packed_memo: Dict[Execution, PackedExecution] = {}
-        #: ``packed_of(execution)``: the packed execution of an
-        #: :class:`Execution` returned by :meth:`execution_of` (a C-level
-        #: dict lookup; ``KeyError`` for any other execution).
-        self.packed_of = self._packed_memo.__getitem__
+        #: ``id`` of an :class:`Execution` returned by :meth:`execution_of`
+        #: -> its packed execution (``_exec_memo`` keeps the executions
+        #: alive, so their ids are not reused).
+        self.packed_by_id: Dict[int, PackedExecution] = {}
 
     # ------------------------------------------------------------------ #
     # Interning
@@ -600,7 +597,7 @@ class FastSuccessorEngine:
                 spec, tuple(self._msgs[message_id] for message_id in execution[1])
             )
             self._exec_memo[execution] = cached
-            self._packed_memo[cached] = execution
+            self.packed_by_id[id(cached)] = execution
         return cached
 
     def executions_of(

@@ -183,10 +183,12 @@ def reduce_packed(
     frame's ``successor_memo`` so the search reuses them on expansion.
     """
     executions = engine.executions_of(enabled)
-    packed_of = engine.packed_of
+    # The reducer returns executions of ``executions`` itself, so they map
+    # back by identity.
+    packed_by_id = engine.packed_by_id
 
     def successor(execution: Execution) -> PackedState:
-        target = packed_of(execution)
+        target = packed_by_id[id(execution)]
         child = successor_memo.get(target)
         if child is None:
             child = engine.successor_packed(packed, target)
@@ -204,7 +206,7 @@ def reduce_packed(
     ))
     if reduced is executions:
         return enabled
-    return tuple(map(packed_of, reduced))
+    return tuple(map(packed_by_id.__getitem__, map(id, reduced)))
 
 
 def _path_from_stack(

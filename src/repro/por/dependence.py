@@ -32,7 +32,7 @@ annotation leaves senders or recipients unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..mp.protocol import Protocol
 from ..mp.transition import SendSpec, TransitionSpec
@@ -186,29 +186,6 @@ class DependenceRelation:
             dependents={name: tuple(sorted(values)) for name, values in dependents.items()},
         )
 
-    def indexed(self, names: Sequence[str]) -> "IndexedDependence":
-        """Lower the name-keyed tables to int tables over ``names``' indices.
-
-        ``names`` is the protocol's transition declaration order, which both
-        successor engines share, so the stubborn-set closure can run on
-        transition indices without ever touching a name.
-        """
-        index_of = {name: index for index, name in enumerate(names)}
-
-        def lower(values: Tuple[str, ...]) -> Tuple[int, ...]:
-            return tuple(index_of[value] for value in values)
-
-        return IndexedDependence(
-            interference=tuple(lower(self.interferes_with(name)) for name in names),
-            enablers=tuple(lower(self.necessary_enablers_of(name)) for name in names),
-            coarse_enablers=tuple(lower(self.coarse_enablers_of(name)) for name in names),
-            enablers_by_sender=tuple(
-                {sender: lower(values)
-                 for sender, values in self.enablers_by_sender.get(name, {}).items()}
-                for name in names
-            ),
-        )
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -260,16 +237,3 @@ class DependenceRelation:
         """Number of transitions dependent with ``name``; a seed heuristic input."""
         return len(self.dependents.get(name, ()))
 
-
-@dataclass(frozen=True)
-class IndexedDependence:
-    """The stubborn-set tables of a :class:`DependenceRelation`, lowered to
-    transition declaration indices (see :meth:`DependenceRelation.indexed`).
-
-    Every attribute is a tuple with one entry per transition index.
-    """
-
-    interference: Tuple[Tuple[int, ...], ...]
-    enablers: Tuple[Tuple[int, ...], ...]
-    coarse_enablers: Tuple[Tuple[int, ...], ...]
-    enablers_by_sender: Tuple[Dict[str, Tuple[int, ...]], ...]

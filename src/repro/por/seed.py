@@ -13,44 +13,20 @@ from __future__ import annotations
 
 from typing import Callable, Sequence, Tuple
 
-from ..mp.transition import Execution, TransitionSpec
+from ..mp.transition import Execution
 
 #: A heuristic orders the candidate executions; the first one seeds the set.
 #:
-#: A heuristic whose choice depends on the executions' transitions only may
-#: expose that as a ``transition_key`` attribute: a sort key over
-#: :class:`TransitionSpec` such that the heuristic returns the first
-#: enabled execution whose transition has the least key.  The stubborn-set
-#: provider then ranks each transition once instead of every execution in
-#: every state.  All heuristics below expose one.
+#: A heuristic chooses by transition: it returns an execution of the
+#: transition it prefers most among the candidates' transitions, whatever
+#: their messages.  The stubborn-set provider relies on this to rank the
+#: transitions once per protocol rather than call the heuristic per state.
 SeedHeuristic = Callable[[Sequence[Execution]], Execution]
 
 
-def _stable_key(transition: TransitionSpec) -> Tuple[str, str]:
+def _stable_key(execution: Execution) -> Tuple[str, str]:
     """Deterministic tie-breaking key."""
-    return (transition.name, transition.process_id)
-
-
-def _opposite_transaction_key(transition: TransitionSpec) -> Tuple[int, int, str, str]:
-    annotation = transition.annotation
-    if annotation.starts_instance:
-        tier = 0
-    elif not annotation.finishes_instance:
-        tier = 1
-    else:
-        tier = 2
-    return (tier, -annotation.priority) + _stable_key(transition)
-
-
-def _transaction_key(transition: TransitionSpec) -> Tuple[int, int, str, str]:
-    annotation = transition.annotation
-    if annotation.finishes_instance:
-        tier = 0
-    elif not annotation.starts_instance:
-        tier = 1
-    else:
-        tier = 2
-    return (tier, -annotation.priority) + _stable_key(transition)
+    return (execution.transition.name, execution.transition.process_id)
 
 
 def opposite_transaction_seed(enabled: Sequence[Execution]) -> Execution:
@@ -60,23 +36,40 @@ def opposite_transaction_seed(enabled: Sequence[Execution]) -> Execution:
     transitions that neither start nor finish an instance, then
     instance-finishing transitions; higher ``priority`` wins within a rank.
     """
-    return min(enabled, key=lambda execution: _opposite_transaction_key(execution.transition))
+
+    def rank(execution: Execution) -> Tuple[int, int, Tuple[str, str]]:
+        annotation = execution.transition.annotation
+        if annotation.starts_instance:
+            tier = 0
+        elif not annotation.finishes_instance:
+            tier = 1
+        else:
+            tier = 2
+        return (tier, -annotation.priority, _stable_key(execution))
+
+    return min(enabled, key=rank)
 
 
 def transaction_seed(enabled: Sequence[Execution]) -> Execution:
     """The opposite policy (the transaction heuristic of [5]): prefer
     transitions that finish an ongoing instance."""
-    return min(enabled, key=lambda execution: _transaction_key(execution.transition))
+
+    def rank(execution: Execution) -> Tuple[int, int, Tuple[str, str]]:
+        annotation = execution.transition.annotation
+        if annotation.finishes_instance:
+            tier = 0
+        elif not annotation.starts_instance:
+            tier = 1
+        else:
+            tier = 2
+        return (tier, -annotation.priority, _stable_key(execution))
+
+    return min(enabled, key=rank)
 
 
 def first_enabled_seed(enabled: Sequence[Execution]) -> Execution:
     """Baseline: pick the first enabled execution in deterministic order."""
-    return min(enabled, key=lambda execution: _stable_key(execution.transition))
-
-
-opposite_transaction_seed.transition_key = _opposite_transaction_key
-transaction_seed.transition_key = _transaction_key
-first_enabled_seed.transition_key = _stable_key
+    return min(enabled, key=_stable_key)
 
 
 def make_fewest_dependents_seed(dependence) -> SeedHeuristic:
@@ -86,13 +79,15 @@ def make_fewest_dependents_seed(dependence) -> SeedHeuristic:
         dependence: A :class:`repro.por.dependence.DependenceRelation`.
     """
 
-    def key(transition: TransitionSpec) -> Tuple[int, str, str]:
-        return (dependence.dependence_degree(transition.name),) + _stable_key(transition)
-
     def heuristic(enabled: Sequence[Execution]) -> Execution:
-        return min(enabled, key=lambda execution: key(execution.transition))
+        return min(
+            enabled,
+            key=lambda execution: (
+                dependence.dependence_degree(execution.transition.name),
+                _stable_key(execution),
+            ),
+        )
 
-    heuristic.transition_key = key
     return heuristic
 
 

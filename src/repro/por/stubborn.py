@@ -14,10 +14,10 @@ that successor is on the DFS stack.  The object engines answer them from
 :class:`~repro.mp.state.GlobalState`; the packed fast path answers them from
 packed words, so one closure serves both engines with no decoding.  The
 closure itself runs on transition declaration indices (the same in both
-engines), as bit masks: the dependence tables are lowered once per
-provider, the necessary enabling sets are memoised per ``(transition
-index, pending senders)``, and the state-independent growth between two
-state queries is memoised too.  The reduced executions keep name order.
+engines), as bit masks: the dependence tables are lowered to masks once
+per provider, the transitions are ranked by the seed heuristic once, and
+the necessary enabling sets are memoised per ``(transition index, pending
+senders)``.  The reduced executions keep name order.
 
 Construction (weak stubborn-set closure, specialised to message passing):
 
@@ -69,7 +69,9 @@ Construction (weak stubborn-set closure, specialised to message passing):
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import reduce as fold
+from itertools import compress
 from operator import attrgetter, or_
 from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
@@ -84,14 +86,6 @@ from .seed import SeedHeuristic, opposite_transaction_seed
 PendingSenders = Callable[[int], FrozenSet[str]]
 
 _transition_name = attrgetter("transition.name")
-
-
-def _mask(indices: Iterable[int]) -> int:
-    """The set of transition indices as a bit mask (bit ``i`` = index ``i``)."""
-    mask = 0
-    for index in indices:
-        mask |= 1 << index
-    return mask
 
 
 def _indices(mask: int) -> Tuple[int, ...]:
@@ -111,27 +105,32 @@ class StubbornSetProvider:
         dependence: Optional[DependenceRelation] = None,
         seed_heuristic: Optional[SeedHeuristic] = None,
         use_net: bool = True,
+        memo_capacity: Optional[int] = None,
     ) -> None:
         self.protocol = protocol
         self.dependence = dependence or DependenceRelation.precompute(protocol)
         self.seed_heuristic = seed_heuristic or opposite_transaction_seed
         self.use_net = use_net
+        self.memo_capacity = memo_capacity
         transitions = protocol.transitions
         self._names: Tuple[str, ...] = tuple(t.name for t in transitions)
-        self._bit_of: Dict[str, int] = {
-            name: 1 << index for index, name in enumerate(self._names)
-        }
-        tables = self.dependence.indexed(self._names)
-        self._interference = tuple(map(_mask, tables.interference))
-        self._enablers = tuple(map(_mask, tables.enablers))
+        bit_of = self._bit_of = {name: 1 << index for index, name in enumerate(self._names)}
+
+        def mask_of(names: Iterable[str]) -> int:
+            return fold(or_, map(bit_of.__getitem__, names), 0)
+
+        dependence = self.dependence
+        self._interference = tuple(map(mask_of, map(dependence.interferes_with, self._names)))
+        self._enablers = tuple(map(mask_of, map(dependence.necessary_enablers_of, self._names)))
         self._enablers_by_sender = tuple(
-            {sender: _mask(values) for sender, values in by_sender.items()}
-            for by_sender in tables.enablers_by_sender
+            {sender: mask_of(values)
+             for sender, values in dependence.enablers_by_sender.get(name, {}).items()}
+            for name in self._names
         )
         #: Conservative additions of a disabled member (the non-NET path).
         self._coarse = tuple(
-            interfering | _mask(enablers)
-            for interfering, enablers in zip(self._interference, tables.coarse_enablers)
+            interfering | mask_of(dependence.coarse_enablers_of(name))
+            for interfering, name in zip(self._interference, self._names)
         )
         #: Everything a disabled member's necessary enabling set may add.
         self._possible = tuple(
@@ -139,30 +138,15 @@ class StubbornSetProvider:
         )
         self._allowed = tuple(t.effective_senders() for t in transitions)
         self._quorum_size = tuple(t.quorum.size for t in transitions)
-        self._visible = _mask(
-            index for index, t in enumerate(transitions) if t.annotation.visible
-        )
-        #: Transition bit -> position of the transition in name order: chosen
-        #: transitions are explored in name order, whatever their
-        #: declaration order.
-        self._rank_of: Dict[int, int] = {
-            self._bit_of[name]: rank for rank, name in enumerate(sorted(self._names))
-        }
-        #: Transition bit -> rank under the seed heuristic's
-        #: ``transition_key``, when it has one (see
-        #: :data:`repro.por.seed.SeedHeuristic`).
-        transition_key = getattr(self.seed_heuristic, "transition_key", None)
-        self._seed_rank_of: Optional[Dict[int, int]] = None
-        if transition_key is not None:
-            self._seed_rank_of = {
-                self._bit_of[t.name]: rank
-                for rank, t in enumerate(sorted(transitions, key=transition_key))
-            }
-        self._net_memo: Dict[Tuple[int, FrozenSet[str]], int] = {}
-        #: ``(closure, todo, enabled) -> _grow(...)``.
-        self._growth: Dict[Tuple[int, int, int], Tuple[int, int, int]] = {}
-        #: ``(chosen, enabled bits) -> _order(...)``.
-        self._orders: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
+        self._visible = mask_of(t.name for t in transitions if t.annotation.visible)
+        #: Transition bit -> rank under the seed heuristic (see
+        #: :meth:`_rank_seeds`).
+        self._seed_rank_of = self._rank_seeds(transitions)
+        #: ``(index, pending senders) -> additions`` of the NET path.  The
+        #: pending senders are a subset of the transition's candidate
+        #: senders, so the table is bounded by the protocol, not by the state
+        #: space; an LRU of ``memo_capacity`` entries when that is set.
+        self._net_memo: "OrderedDict[Tuple[int, FrozenSet[str]], int]" = OrderedDict()
         #: How many times the provider returned a strict subset / fell back.
         self.reduced_states = 0
         self.fallback_states = 0
@@ -184,10 +168,14 @@ class StubbornSetProvider:
         if not self.use_net:
             return self._coarse[index]
         key = (index, pending_senders(index))
-        additions = self._net_memo.get(key)
+        memo = self._net_memo
+        additions = memo.get(key)
         if additions is None:
-            additions = self._net_additions(index, key[1])
-            self._net_memo[key] = additions
+            additions = memo[key] = self._net_additions(*key)
+            if self.memo_capacity is not None and len(memo) > self.memo_capacity:
+                memo.popitem(last=False)
+        elif self.memo_capacity is not None:
+            memo.move_to_end(key)
         return additions
 
     def _net_additions(self, index: int, pending: FrozenSet[str]) -> int:
@@ -221,52 +209,31 @@ class StubbornSetProvider:
     def _closure(self, pending_senders: PendingSenders, seed: int, enabled: int) -> int:
         """The stubborn set grown from the ``seed`` transition (a one-bit mask).
 
-        ``enabled`` is the mask of enabled transitions.  The closure grows
-        from state-independent tables until a disabled member needs the
-        state's pending senders; those growth steps are memoised, so per
-        state only the queries remain.
-        """
-        closure = todo = seed
-        steps = self._growth
-        while True:
-            key = (closure, todo, enabled)
-            step = steps.get(key)
-            if step is None:
-                step = steps[key] = self._grow(closure, todo, enabled)
-            closure, todo, index = step
-            if index < 0:
-                return closure
-            fresh = self._disabled_additions(index, pending_senders) & ~closure
-            closure |= fresh
-            todo |= fresh
-
-    def _grow(self, closure: int, todo: int, enabled: int) -> Tuple[int, int, int]:
-        """Grow ``closure`` until a member needs the state.
-
-        ``todo`` holds the members whose additions are still to be added.
-        Enabled members add their interfering transitions.  Disabled members
-        wait until no enabled member is left: by then the closure often
-        holds everything their necessary enabling set could add, and they
-        are dropped.  Returns ``(closure, todo, index)`` where ``index`` is
-        the disabled member whose necessary enabling set must be read from
-        the state, or -1 when the closure is complete.
+        ``enabled`` is the mask of enabled transitions.  Enabled members
+        add their interfering transitions.  Disabled members are taken once
+        no enabled member is left to process; a disabled member whose
+        possible additions are all in the closure already is dropped without
+        reading the state.  The closure is a fixpoint, so the processing
+        order does not change the result.
         """
         interference = self._interference
         possible = self._possible
+        closure = todo = seed
         while todo:
-            active = todo & enabled
-            if active:
-                member = active & -active
-                todo ^= member
-                fresh = interference[member.bit_length() - 1] & ~closure
-                closure |= fresh
-                todo |= fresh
+            member = todo & enabled or todo
+            member &= -member
+            todo ^= member
+            index = member.bit_length() - 1
+            if member & enabled:
+                additions = interference[index]
+            elif possible[index] & ~closure:
+                additions = self._disabled_additions(index, pending_senders)
+            else:
                 continue
-            index = todo.bit_length() - 1
-            todo ^= 1 << index
-            if possible[index] & ~closure:
-                return closure, todo, index
-        return closure, 0, -1
+            fresh = additions & ~closure
+            closure |= fresh
+            todo |= fresh
+        return closure
 
     def stubborn_names(self, state: GlobalState, seed_name: str,
                        enabled_names: frozenset) -> frozenset:
@@ -280,15 +247,22 @@ class StubbornSetProvider:
         )
         return frozenset(self._names[index] for index in _indices(closure))
 
-    def _order(self, chosen: int, bits: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Positions, in an enabled set whose executions belong to the
-        transitions ``bits``, of the executions of the ``chosen``
-        transitions: transitions in name order, each one's executions in
-        enabled order."""
-        rank_of = self._rank_of
-        return tuple(position for _rank, position in sorted(
-            (rank_of[bit], position) for position, bit in enumerate(bits) if bit & chosen
-        ))
+    def _rank_seeds(self, transitions: Iterable[TransitionSpec]) -> Dict[int, int]:
+        """Rank the transitions by the seed heuristic: its choice among all
+        of them first, then its choice among the rest, and so on.
+
+        A seed heuristic chooses by transition (see
+        :data:`repro.por.seed.SeedHeuristic`), so its choice among a state's
+        enabled executions is the enabled transition of least rank; the
+        heuristic runs here, once per transition, instead of once per state.
+        """
+        candidates = [Execution(transition, ()) for transition in transitions]
+        rank_of: Dict[int, int] = {}
+        while candidates:
+            best = self.seed_heuristic(candidates)
+            candidates.remove(best)
+            rank_of[self._bit_of[best.transition.name]] = len(rank_of)
+        return rank_of
 
     # ------------------------------------------------------------------ #
     # Reducer interface
@@ -306,10 +280,7 @@ class StubbornSetProvider:
             # A single (possibly non-deterministic) transition: no reduction.
             return enabled
 
-        if self._seed_rank_of is not None:
-            seed = min(bits, key=self._seed_rank_of.__getitem__)
-        else:
-            seed = bit_of[self.seed_heuristic(enabled).transition.name]
+        seed = min(bits, key=self._seed_rank_of.__getitem__)
         chosen = enabled_mask & self._closure(context.pending_senders, seed, enabled_mask)
         # Visibility condition (ample-set condition C2): a strictly reduced
         # set must not contain property-visible transitions.
@@ -317,11 +288,11 @@ class StubbornSetProvider:
             self.fallback_states += 1
             return enabled
 
-        key = (chosen, bits)
-        order = self._orders.get(key)
-        if order is None:
-            order = self._orders[key] = self._order(chosen, bits)
-        reduced = tuple(map(enabled.__getitem__, order))
+        # Transitions in name order, each one's executions in enabled order
+        # (the sort is stable).
+        reduced = tuple(compress(enabled, map(chosen.__and__, bits)))
+        if chosen & (chosen - 1):
+            reduced = tuple(sorted(reduced, key=_transition_name))
 
         # Cycle (stack) proviso (condition C3): if any explored execution
         # closes a cycle back onto the current DFS stack, expand the state

@@ -137,6 +137,30 @@ class TestSeedHeuristic:
             assert result.statistics.reduced_expansions > 0
 
 
+    def test_memo_capacity_bounds_the_reducers_net_memo(self):
+        from repro.checker.search import dfs_search
+        from repro.engine.engines import make_reducer
+        from repro.fastpath.search import fast_dfs_search
+        from repro.protocols.catalog import paxos_entry
+
+        entry = paxos_entry(2, 2, 1)
+        protocol = entry.quorum_model()
+        providers = [
+            make_reducer(
+                protocol, CheckPlan(reduction="spor-net", fastpath_memo_capacity=capacity)
+            ).__self__
+            for capacity in (None, 2)
+        ]
+        for provider in providers:
+            for search in (dfs_search, fast_dfs_search):
+                outcome = search(protocol, entry.invariant, reducer=provider.reduce)
+                assert outcome.counterexample is None
+        unbounded, bounded = providers
+        assert len(bounded._net_memo) == 2 < len(unbounded._net_memo)
+        assert (bounded.reduced_states, bounded.fallback_states) == (
+            unbounded.reduced_states, unbounded.fallback_states)
+
+
 class TestNormalisation:
     def test_dpor_is_stateless_by_definition(self):
         plan = CheckPlan(reduction="dpor")

@@ -123,26 +123,6 @@ class TestPrecomputedRelation:
         assert relation.dependents_of("no-such-transition") == ()
         assert relation.dependence_degree("no-such-transition") == 0
 
-    def test_indexed_tables_follow_declaration_order(self):
-        protocol = build_paxos_quorum(PaxosConfig(1, 3, 1))
-        relation = DependenceRelation.precompute(protocol)
-        names = [t.name for t in protocol.transitions]
-        tables = relation.indexed(names)
-        for index, name in enumerate(names):
-            assert [names[i] for i in tables.interference[index]] == list(
-                relation.interferes_with(name))
-            assert [names[i] for i in tables.enablers[index]] == list(
-                relation.necessary_enablers_of(name))
-            assert [names[i] for i in tables.coarse_enablers[index]] == list(
-                relation.coarse_enablers_of(name))
-            assert {
-                sender: [names[i] for i in values]
-                for sender, values in tables.enablers_by_sender[index].items()
-            } == {
-                sender: list(values)
-                for sender, values in relation.enablers_by_sender[name].items()
-            }
-
     def test_coarse_enablers_ignore_refinement(self):
         protocol = build_paxos_quorum(PaxosConfig(1, 3, 1))
         split = quorum_split(protocol)

@@ -1,16 +1,20 @@
 """Unit tests for the seed-transition heuristics."""
 
+import random
+
 import pytest
 
-from repro.mp.semantics import enabled_executions
+from repro.mp.semantics import apply_execution, enabled_executions
 from repro.por.dependence import DependenceRelation
 from repro.por.seed import (
+    HEURISTIC_NAMES,
     first_enabled_seed,
     make_fewest_dependents_seed,
     make_seed_heuristic,
     opposite_transaction_seed,
     transaction_seed,
 )
+from repro.por.stubborn import StubbornSetProvider
 from repro.protocols.paxos import PaxosConfig, build_paxos_quorum
 
 from ..conftest import build_vote_collection
@@ -91,3 +95,25 @@ class TestFactory:
     def test_unknown_heuristic_rejected(self):
         with pytest.raises(ValueError):
             make_seed_heuristic("bogus")
+
+
+class TestProviderRanking:
+    @pytest.mark.parametrize("name", HEURISTIC_NAMES)
+    def test_ranked_seed_is_the_heuristics_choice(self, name):
+        # The stubborn-set provider ranks the transitions by the heuristic
+        # once; along a random walk its seed must be what the heuristic
+        # picks from each state's enabled executions.
+        protocol = build_paxos_quorum(PaxosConfig(2, 3, 1))
+        relation = DependenceRelation.precompute(protocol)
+        heuristic = make_seed_heuristic(name, dependence=relation)
+        provider = StubbornSetProvider(protocol, relation, heuristic)
+        rank_of = provider._seed_rank_of
+        rng = random.Random(7)
+        state = protocol.initial_state()
+        for _ in range(40):
+            enabled = enabled_executions(state, protocol)
+            if not enabled:
+                break
+            ranked = min(enabled, key=lambda e: rank_of[provider._bit_of[e.transition.name]])
+            assert ranked.transition == heuristic(enabled).transition
+            state = apply_execution(state, rng.choice(enabled))
